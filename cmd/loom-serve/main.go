@@ -33,10 +33,10 @@
 //	                  lines, plus "rv <id>" / "re <u> <v>" removals);
 //	                  decoded incrementally, applied in order.
 //	                  With Content-Type: application/x-loom-frame the body
-//	                  is length-prefixed binary frames instead, decoded on
-//	                  a parallel worker pool (same ordering and durability
-//	                  guarantees; a malformed frame is a 400 and nothing
-//	                  from it is applied).
+//	                  is length-prefixed binary frames instead, decoded
+//	                  on the request goroutine (same ordering and
+//	                  durability guarantees; a malformed frame is a 400
+//	                  and nothing from it is applied).
 //	GET  /place/{v}   placement of vertex v.
 //	GET  /route?v=1&v=2&v=3   shard decision for a query touching vertices.
 //	GET  /stats       server statistics (drift estimators, persistence).
@@ -381,7 +381,7 @@ func ingestText(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestBinary applies a body of length-prefixed binary frames through
-// the parallel decode front-stage. A malformed frame terminates the
+// Server.IngestFrames. A malformed frame terminates the
 // request with 400; frames before it were applied in order (there is no
 // rollback), exactly like a mid-stream text decode error.
 func ingestBinary(srv *serve.Server, w http.ResponseWriter, r *http.Request) {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,6 +70,53 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("assignment Get(%d) = %d, want %d", v, ga.Get(v), p)
 		}
 	})
+}
+
+// TestSnapshotRestoresTextCodecAdjacency: a restored graph holds every
+// adjacency list in the order graph.Read gives a graph.Write dump of the
+// same graph — the order recovery had with text snapshots, which the
+// placements after a restore depend on.
+func TestSnapshotRestoresTextCodecAdjacency(t *testing.T) {
+	g := graph.New()
+	const n = 300
+	for i := 0; i < n; i++ {
+		g.AddVertex(graph.VertexID((i*7919)%n), graph.Label([]string{"a", "b", "c"}[i%3]))
+	}
+	for i := 0; i < 3*n; i++ {
+		u, w := graph.VertexID((i*31)%n), graph.VertexID((i*17+5)%n)
+		if u != w && !g.HasEdge(u, w) {
+			if err := g.AddEdge(w, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := partition.MustNewAssignment(testMeta().K)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, testMeta(), g, a); err != nil {
+		t.Fatal(err)
+	}
+	_, got, _, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := graph.Write(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.Read(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adjacency := func(g *graph.Graph, v graph.VertexID) []graph.VertexID {
+		var out []graph.VertexID
+		g.EachNeighbor(v, func(u graph.VertexID) bool { out = append(out, u); return true })
+		return out
+	}
+	for _, v := range want.Vertices() {
+		if w, h := adjacency(want, v), adjacency(got, v); !slices.Equal(w, h) {
+			t.Fatalf("vertex %d adjacency %v, want %v", v, h, w)
+		}
+	}
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
@@ -368,7 +417,7 @@ func TestTornTailCoveredBySnapshotStartsFreshSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := w.append(RecordBatch, batch(v(graph.VertexID(i), "a"))); err != nil {
+		if _, err := w.append(RecordBatch, batch(v(graph.VertexID(i), "a")), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,7 +501,7 @@ func TestWALWriterFailedWriteRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.append(RecordBatch, batch(v(1, "a"))); err != nil {
+	if _, err := w.append(RecordBatch, batch(v(1, "a")), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the file handle: the next write fails, the rollback
@@ -460,13 +509,13 @@ func TestWALWriterFailedWriteRollsBack(t *testing.T) {
 	if err := w.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.append(RecordBatch, batch(v(2, "b"))); err == nil {
+	if _, err := w.append(RecordBatch, batch(v(2, "b")), nil); err == nil {
 		t.Fatal("append on closed file succeeded")
 	}
 	if !w.broken {
 		t.Fatal("writer did not break after a failed rollback")
 	}
-	if _, err := w.append(RecordBatch, batch(v(3, "c"))); err == nil {
+	if _, err := w.append(RecordBatch, batch(v(3, "c")), nil); err == nil {
 		t.Fatal("broken writer accepted another append")
 	}
 	// The record appended before the sabotage is intact on disk.
@@ -478,6 +527,13 @@ func TestWALWriterFailedWriteRollsBack(t *testing.T) {
 		t.Fatalf("scan after failure: %d records, torn=%v", len(sc.recs), sc.torn)
 	}
 	w.f = nil // already closed
+}
+
+// encodeRecord frames one record as the WAL writer would at sequence seq.
+func encodeRecord(seq uint64, kind RecordKind, elems []stream.Element) ([]byte, error) {
+	w := walWriter{next: seq}
+	frame, err := w.encodeRecord(kind, elems, nil)
+	return append([]byte(nil), frame...), err
 }
 
 func TestBarrierRecordRoundTrip(t *testing.T) {
@@ -507,83 +563,156 @@ func TestEncodeRejectsUnsafeLabels(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordIsFatalNotTorn: a CRC-valid frame that fails to decode
-// cannot come from a torn write; recovery must refuse to start rather
-// than silently truncate the acknowledged records behind it.
-// TestWALBinaryRecordRoundTrip interleaves text and binary batch records
-// in one segment: AppendBinary's verbatim frame payload must replay as
-// the same elements, in sequence with its text neighbours.
+// TestWALBinaryRecordRoundTrip: AppendBinary writes the very record
+// Append writes for the elements its payload carries — one batch record
+// kind, byte for byte — and both replay as the same elements, in
+// sequence.
 func TestWALBinaryRecordRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := Open(dir, SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	textBatch := batch(v(0, "a"), v(1, "b"), e(0, 1))
-	binBatch := batch(v(2, "c"), v(3, "a"), e(2, 3), e(3, 0))
+	elems := batch(v(2, "c"), v(3, "a"), e(2, 3), e(3, 0))
 	var enc stream.FrameEncoder
-	payload, err := enc.AppendPayload(nil, binBatch)
+	payload, err := enc.AppendPayload(nil, elems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Append(RecordBatch, textBatch); err != nil {
-		t.Fatal(err)
+	segment := func(binary bool) []byte {
+		dir := t.TempDir()
+		st, _, err := Open(dir, SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binary {
+			_, err = st.AppendBinary(payload)
+		} else {
+			_, err = st.Append(RecordBatch, elems)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Append(RecordDrain, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := Open(dir, SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Tail) != 2 || rec.TornTail {
+			t.Fatalf("recovered %d records (torn=%v), want 2 intact", len(rec.Tail), rec.TornTail)
+		}
+		if rec.Tail[0].Kind != RecordBatch || !elemsEqual(rec.Tail[0].Elems, elems) {
+			t.Fatalf("batch record did not round-trip: %+v", rec.Tail[0])
+		}
+		if rec.Tail[1].Kind != RecordDrain || rec.Tail[1].Seq != 1 {
+			t.Fatalf("record 1 = %+v, want drain at seq 1", rec.Tail[1])
+		}
+		data, err := os.ReadFile(filepath.Join(dir, segName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if _, err := st.AppendBinary(payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(RecordDrain, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, rec, err := Open(dir, SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Tail) != 3 || rec.TornTail {
-		t.Fatalf("recovered %d records (torn=%v), want 3 intact", len(rec.Tail), rec.TornTail)
-	}
-	if rec.Tail[0].Kind != RecordBatch || !elemsEqual(rec.Tail[0].Elems, textBatch) {
-		t.Fatalf("text record did not round-trip: %+v", rec.Tail[0])
-	}
-	if rec.Tail[1].Kind != RecordBatchBinary || !elemsEqual(rec.Tail[1].Elems, binBatch) {
-		t.Fatalf("binary record did not round-trip: %+v", rec.Tail[1])
-	}
-	if rec.Tail[2].Kind != RecordDrain {
-		t.Fatalf("record 2 kind = %d, want drain", rec.Tail[2].Kind)
-	}
-
-	// A torn binary tail is skipped like any other torn record, and the
-	// intact prefix survives.
-	if _, err := st2.AppendBinary(payload); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(segs[0], data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec2, err := Open(dir, SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec2.Tail) != 3 || !rec2.TornTail {
-		t.Fatalf("after tear: %d records, torn=%v; want 3, true", len(rec2.Tail), rec2.TornTail)
+	if text, bin := segment(false), segment(true); !bytes.Equal(text, bin) {
+		t.Fatalf("Append and AppendBinary segments differ:\n%x\n%x", text, bin)
 	}
 }
 
-// TestCorruptBinaryRecordIsFatalNotTorn is the binary twin of
-// TestCorruptRecordIsFatalNotTorn: a CRC-valid binary record whose frame
+// TestWALAppendAllocs pins the WAL append path at zero allocations per
+// record once the writer's encoder and frame buffer are warm.
+func TestWALAppendAllocs(t *testing.T) {
+	st, _, err := Open(t.TempDir(), SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	elems := batch(v(1, "a"), v(2, "b"), e(1, 2),
+		stream.Element{Kind: stream.RemoveEdgeElement, V: 1, U: 2},
+		stream.Element{Kind: stream.RemoveVertexElement, V: 2})
+	appendOne := func() {
+		if _, err := st.Append(RecordBatch, elems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne()
+	if avg := testing.AllocsPerRun(100, appendOne); avg != 0 {
+		t.Fatalf("WAL append allocates %.1f/record, want 0", avg)
+	}
+}
+
+// TestOpenRefusesPreviousFormat: a directory written in the previous
+// on-disk format (text WAL bodies, text snapshots) is refused with an
+// error naming the file and its format, and nothing in it is touched —
+// no header-less-segment deletion, no tmp sweep, no fresh segment.
+func TestOpenRefusesPreviousFormat(t *testing.T) {
+	oldSegment := func() []byte {
+		var seg bytes.Buffer
+		seg.WriteString("loomwal1")
+		seg.Write(make([]byte, 8)) // start sequence 0
+		payload := binary.LittleEndian.AppendUint64(nil, 0)
+		payload = append(payload, byte(RecordBatch))
+		payload = append(payload, "v 1 a\nv 2 b\ne 1 2\n"...)
+		var hdr [frameHeaderSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		seg.Write(hdr[:])
+		seg.Write(payload)
+		return seg.Bytes()
+	}
+	oldSnapshot := []byte("loom-snapshot 1\nm epoch 3\nm k 2\nm next_seq 0\n%graph\nv 1 a\n%assignment\n# k=2\np 1 0\n%end crc32=00000000\n")
+	for _, tc := range []struct {
+		name, file string
+		data       []byte
+		format     string
+	}{
+		{"segment", segName(0), oldSegment(), "loomwal1"},
+		{"snapshot", snapName(0), oldSnapshot, "loom-snapshot 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, tc.file), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tmp := filepath.Join(dir, snapName(7)+".tmp")
+			if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+			st, _, err := Open(dir, SyncAlways)
+			if err == nil {
+				st.Close()
+				t.Fatal("Open accepted a previous-format directory")
+			}
+			if !strings.Contains(err.Error(), tc.file) || !strings.Contains(err.Error(), tc.format) {
+				t.Fatalf("error %q does not name the file %s and its format %q", err, tc.file, tc.format)
+			}
+			if after := dirBytes(t, dir); !maps.Equal(before, after) {
+				t.Fatalf("Open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
+	}
+}
+
+// dirBytes maps every file name in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = string(data)
+	}
+	return out
+}
+
+// TestCorruptBinaryRecordIsFatalNotTorn is the body-level twin of
+// TestCorruptRecordIsFatalNotTorn: a CRC-valid batch record whose frame
 // payload no longer decodes (here: an unknown element kind) is an
 // encoder bug or bit-rot, not a torn write — recovery must refuse, not
 // silently truncate acknowledged data.
@@ -628,6 +757,9 @@ func TestCorruptBinaryRecordIsFatalNotTorn(t *testing.T) {
 	}
 }
 
+// TestCorruptRecordIsFatalNotTorn: a CRC-valid frame that fails to decode
+// cannot come from a torn write; recovery must refuse to start rather
+// than silently truncate the acknowledged records behind it.
 func TestCorruptRecordIsFatalNotTorn(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := Open(dir, SyncAlways)

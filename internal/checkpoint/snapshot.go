@@ -6,24 +6,31 @@
 // the WAL tail behind it so a restarted server comes up warm instead of
 // replaying its whole stream.
 //
-// Both codecs are layered on the repository's existing text formats: a
-// snapshot embeds graph.Write and partition.WriteAssignment sections
-// behind a CRC32 footer, and WAL batch bodies are the graph-stream text
-// codec decoded by stream.FromReader. Everything is crash-tolerant by
-// construction: snapshots are written to a temp file and renamed into
-// place, a snapshot without its footer is skipped in favour of the
-// previous one, and a torn final WAL record is truncated, not fatal.
+// Both files share one binary format: CRC-guarded wire frames (see
+// internal/wire) whose element bodies are internal/stream's binary frame
+// payloads. A WAL batch record carries the accepted elements of one
+// batch; a snapshot carries the graph as vertex, then edge elements. The
+// previous text format (WAL magic "loomwal1", snapshot header
+// "loom-snapshot 1") is refused by Open, never converted. Everything is
+// crash-tolerant by construction: snapshots are written to a temp file
+// and renamed into place, a snapshot without its end section is skipped
+// in favour of the previous one, and a torn final WAL record is
+// truncated, not fatal.
 package checkpoint
 
 import (
-	"bytes"
+	"bufio"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"strconv"
+	"math"
+	"slices"
 
 	"loom/internal/graph"
 	"loom/internal/partition"
+	"loom/internal/stream"
 )
 
 // Meta is the serve state captured alongside the graph and assignment.
@@ -66,217 +73,300 @@ type Meta struct {
 	NextSeq uint64
 }
 
+// A snapshot file is a header line followed by wire frames (see
+// scanFrames), one per section; each frame payload is
+//
+//	u8 section | body
+//
+// in this order:
+//
+//	meta        exactly once: the Meta fields as u64 LE words
+//	graph       zero or more: frame payloads carrying every vertex
+//	            element (ascending id), then every edge element
+//	            (normalized, ascending) — graph.Write's order, so the
+//	            restored adjacency, and every placement, is unchanged
+//	assignment  one or more: uvarint k | (varint vertex | uvarint part)*
+//	            in ascending vertex order
+//	end         exactly once, empty: without it the snapshot is torn
 const (
-	snapshotHeader    = "loom-snapshot 1"
-	sectionGraph      = "%graph"
-	sectionAssignment = "%assignment"
-	footerPrefix      = "%end crc32="
+	snapMagic = "loom-snapshot 2\n"
+	// snapMagicV1 is the previous, text snapshot header; Open refuses it.
+	snapMagicV1 = "loom-snapshot 1\n"
+
+	sectionMeta       = 1
+	sectionGraph      = 2
+	sectionAssignment = 3
+	sectionEnd        = 4
+
+	// snapChunk bounds the elements or placements in one section frame.
+	snapChunk = 4096
+	// maxSnapshotK bounds the partition count a snapshot may claim, so a
+	// crafted section cannot drive a giant per-partition allocation.
+	maxSnapshotK = 1 << 20
 )
 
-// crcWriter tees everything written through it into a running CRC32.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// snapWriter frames snapshot sections into one reused buffer.
+type snapWriter struct {
+	w     *bufio.Writer
+	buf   []byte
+	enc   stream.FrameEncoder
+	elems []stream.Element // the graph section being filled
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+// begin starts a section frame in the buffer and returns it for the body
+// to be appended.
+func (sw *snapWriter) begin(section byte) []byte {
+	return append(append(sw.buf[:0], frameHeaderPad[:]...), section)
 }
 
-// WriteSnapshot serialises one snapshot to w: a header, `m <key> <value>`
-// metadata lines, the graph text codec, the assignment text codec, and a
-// CRC32 footer over everything before it.
-func WriteSnapshot(w io.Writer, m Meta, g *graph.Graph, a *partition.Assignment) error {
-	cw := &crcWriter{w: w}
-	if _, err := fmt.Fprintln(cw, snapshotHeader); err != nil {
-		return err
-	}
-	meta := []struct {
-		key string
-		val string
-	}{
-		{"epoch", strconv.FormatUint(m.Epoch, 10)},
-		{"k", strconv.Itoa(m.K)},
-		{"expected_vertices", strconv.Itoa(m.ExpectedVertices)},
-		{"window", strconv.Itoa(m.WindowSize)},
-		{"threshold", strconv.FormatFloat(m.Threshold, 'g', -1, 64)},
-		{"slack", strconv.FormatFloat(m.Slack, 'g', -1, 64)},
-		{"seed", strconv.FormatInt(m.Seed, 10)},
-		{"ingested", strconv.FormatInt(m.Ingested, 10)},
-		{"rejected", strconv.FormatInt(m.Rejected, 10)},
-		{"cut", strconv.Itoa(m.Cut)},
-		{"observed", strconv.Itoa(m.Observed)},
-		{"restreams", strconv.Itoa(m.Restreams)},
-		{"since_restream", strconv.Itoa(m.SinceRestream)},
-		{"ever_restream", boolVal(m.EverRestream)},
-		{"verts_at_swap", strconv.Itoa(m.VertsAtSwap)},
-		{"next_seq", strconv.FormatUint(m.NextSeq, 10)},
-	}
-	for _, kv := range meta {
-		if _, err := fmt.Fprintf(cw, "m %s %s\n", kv.key, kv.val); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(cw, "%s\n", sectionGraph); err != nil {
-		return err
-	}
-	if err := graph.Write(cw, g); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(cw, "%s\n", sectionAssignment); err != nil {
-		return err
-	}
-	if err := partition.WriteAssignment(cw, a); err != nil {
-		return err
-	}
-	// The footer is written to the underlying writer: the CRC covers every
-	// byte before it.
-	_, err := fmt.Fprintf(w, "%s%08x\n", footerPrefix, cw.crc)
+// finish stamps and writes the section frame built in buf.
+func (sw *snapWriter) finish(buf []byte) error {
+	finishFrame(buf)
+	sw.buf = buf
+	_, err := sw.w.Write(buf)
 	return err
 }
 
-func boolVal(b bool) string {
-	if b {
-		return "1"
+// addGraph appends el to the graph section being filled, writing the
+// section once it holds snapChunk elements.
+func (sw *snapWriter) addGraph(el stream.Element) error {
+	sw.elems = append(sw.elems, el)
+	if len(sw.elems) < snapChunk {
+		return nil
 	}
-	return "0"
+	return sw.flushGraph()
+}
+
+// flushGraph writes the pending graph elements, if any, as one section.
+func (sw *snapWriter) flushGraph() error {
+	if len(sw.elems) == 0 {
+		return nil
+	}
+	buf, err := sw.enc.AppendPayload(sw.begin(sectionGraph), sw.elems)
+	sw.elems = sw.elems[:0]
+	if err != nil {
+		return err
+	}
+	return sw.finish(buf)
+}
+
+// WriteSnapshot serialises one snapshot to w.
+func WriteSnapshot(w io.Writer, m Meta, g *graph.Graph, a *partition.Assignment) error {
+	sw := &snapWriter{w: bufio.NewWriter(w)}
+	if _, err := sw.w.WriteString(snapMagic); err != nil {
+		return err
+	}
+	if err := sw.finish(appendMeta(sw.begin(sectionMeta), m)); err != nil {
+		return err
+	}
+	vs := g.Vertices()
+	for _, v := range vs {
+		l, _ := g.Label(v)
+		if err := sw.addGraph(stream.Element{Kind: stream.VertexElement, V: v, Label: l}); err != nil {
+			return err
+		}
+	}
+	// Edges in graph.Write's order, (u,v) with u < v ascending, built
+	// from each vertex's sorted neighbours rather than one big sorted
+	// edge list.
+	var nbrs []graph.VertexID
+	for _, u := range vs {
+		nbrs = g.AppendNeighbors(nbrs[:0], u)
+		for _, v := range nbrs {
+			if v <= u {
+				continue
+			}
+			if err := sw.addGraph(stream.Element{Kind: stream.EdgeElement, V: u, U: v}); err != nil {
+				return err
+			}
+		}
+	}
+	if err := sw.flushGraph(); err != nil {
+		return err
+	}
+
+	type place struct {
+		v graph.VertexID
+		p partition.ID
+	}
+	places := make([]place, 0, a.Len())
+	a.EachVertex(func(v graph.VertexID, p partition.ID) {
+		places = append(places, place{v, p})
+	})
+	slices.SortFunc(places, func(x, y place) int { return cmp.Compare(x.v, y.v) })
+	// At least one assignment section, so k survives an empty placement.
+	for i := 0; i == 0 || i < len(places); i += snapChunk {
+		buf := binary.AppendUvarint(sw.begin(sectionAssignment), uint64(a.K()))
+		for _, pl := range places[i:min(i+snapChunk, len(places))] {
+			buf = binary.AppendVarint(buf, int64(pl.v))
+			buf = binary.AppendUvarint(buf, uint64(pl.p))
+		}
+		if err := sw.finish(buf); err != nil {
+			return err
+		}
+	}
+	if err := sw.finish(sw.begin(sectionEnd)); err != nil {
+		return err
+	}
+	return sw.w.Flush()
+}
+
+// metaWords is the meta section body's length in 64-bit words.
+const metaWords = 16
+
+// appendMeta encodes the meta section body: every field as one u64 LE
+// word (signed integers two's complement, floats as IEEE bits, the bool
+// as 0 or 1).
+func appendMeta(dst []byte, m Meta) []byte {
+	ever := uint64(0)
+	if m.EverRestream {
+		ever = 1
+	}
+	for _, w := range [metaWords]uint64{
+		m.Epoch, uint64(m.K), uint64(m.ExpectedVertices), uint64(m.WindowSize),
+		math.Float64bits(m.Threshold), math.Float64bits(m.Slack),
+		uint64(m.Seed), uint64(m.Ingested), uint64(m.Rejected),
+		uint64(m.Cut), uint64(m.Observed), uint64(m.Restreams), uint64(m.SinceRestream),
+		ever, uint64(m.VertsAtSwap), m.NextSeq,
+	} {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+// readMeta decodes the meta section body.
+func readMeta(body []byte) (Meta, error) {
+	if len(body) != 8*metaWords {
+		return Meta{}, fmt.Errorf("checkpoint: snapshot meta section is %d bytes, want %d", len(body), 8*metaWords)
+	}
+	w := func(i int) uint64 { return binary.LittleEndian.Uint64(body[8*i:]) }
+	m := Meta{
+		Epoch: w(0), K: int(w(1)), ExpectedVertices: int(w(2)), WindowSize: int(w(3)),
+		Threshold: math.Float64frombits(w(4)), Slack: math.Float64frombits(w(5)),
+		Seed: int64(w(6)), Ingested: int64(w(7)), Rejected: int64(w(8)),
+		Cut: int(w(9)), Observed: int(w(10)), Restreams: int(w(11)), SinceRestream: int(w(12)),
+		EverRestream: w(13) == 1, VertsAtSwap: int(w(14)), NextSeq: w(15),
+	}
+	return m, nil
 }
 
 // ReadSnapshot parses and validates one snapshot. It fails (never panics)
-// on a missing footer, a checksum mismatch, or malformed sections — the
-// caller falls back to an older snapshot.
+// on a bad header, a torn or checksum-failing frame, a missing end
+// section, or malformed sections — the caller falls back to an older
+// snapshot.
 func ReadSnapshot(r io.Reader) (Meta, *graph.Graph, *partition.Assignment, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return Meta{}, nil, nil, err
 	}
-	body, err := verifyFooter(data)
-	if err != nil {
+	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
+		return Meta{}, nil, nil, errors.New("checkpoint: bad snapshot header")
+	}
+	var (
+		m     Meta
+		g     = graph.New()
+		a     *partition.Assignment
+		dec   stream.FrameDecoder
+		batch stream.Batch
+		last  byte // the previous section; sections never go backwards
+	)
+	_, torn, err := scanFrames(data, len(snapMagic), 1, func(_ int, payload []byte) error {
+		section, body := payload[0], payload[1:]
+		// Meta comes first and only first; nothing follows the end.
+		if section < last || last == sectionEnd || (last == 0) != (section == sectionMeta) {
+			return fmt.Errorf("checkpoint: snapshot section %d out of order after %d", section, last)
+		}
+		last = section
+		switch section {
+		case sectionMeta:
+			var err error
+			m, err = readMeta(body)
+			return err
+		case sectionGraph:
+			return readGraphSection(g, &dec, &batch, body)
+		case sectionAssignment:
+			var err error
+			a, err = readAssignmentSection(a, body)
+			return err
+		case sectionEnd:
+			if len(body) != 0 {
+				return errors.New("checkpoint: snapshot end section carries a body")
+			}
+			return nil
+		}
+		return fmt.Errorf("checkpoint: unknown snapshot section %d", section)
+	})
+	switch {
+	case err != nil:
 		return Meta{}, nil, nil, err
-	}
-
-	// Walk lines by offset: metadata until %graph, graph codec until
-	// %assignment, assignment codec until the footer.
-	var m Meta
-	graphStart, graphEnd, assignStart := -1, -1, -1
-	pos := 0
-	for pos < len(body) && assignStart < 0 {
-		lineEnd := bytes.IndexByte(body[pos:], '\n')
-		if lineEnd < 0 {
-			lineEnd = len(body) - pos
-		}
-		line := string(body[pos : pos+lineEnd])
-		next := pos + lineEnd + 1
-		if next > len(body) {
-			next = len(body)
-		}
-		switch {
-		case pos == 0:
-			if line != snapshotHeader {
-				return Meta{}, nil, nil, fmt.Errorf("checkpoint: bad snapshot header %q", line)
-			}
-		case graphStart < 0:
-			if line == sectionGraph {
-				graphStart = next
-			} else if err := parseMetaLine(&m, line); err != nil {
-				return Meta{}, nil, nil, err
-			}
-		default:
-			if line == sectionAssignment {
-				graphEnd = pos
-				assignStart = next
-			}
-		}
-		pos = next
-	}
-	if assignStart < 0 {
-		return Meta{}, nil, nil, fmt.Errorf("checkpoint: snapshot missing %%graph/%%assignment sections")
-	}
-
-	g, err := graph.Read(bytes.NewReader(body[graphStart:graphEnd]))
-	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("checkpoint: graph section: %w", err)
-	}
-	a, err := partition.ReadAssignment(bytes.NewReader(body[assignStart:]))
-	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("checkpoint: assignment section: %w", err)
-	}
-	if m.K != 0 && a.K() != m.K {
+	case torn || last != sectionEnd:
+		// A torn frame, or no end section: a write cut short.
+		return Meta{}, nil, nil, errors.New("checkpoint: snapshot torn (no intact end section)")
+	case a == nil:
+		return Meta{}, nil, nil, errors.New("checkpoint: snapshot has no assignment section")
+	case m.K != 0 && a.K() != m.K:
 		return Meta{}, nil, nil, fmt.Errorf("checkpoint: assignment k=%d disagrees with metadata k=%d", a.K(), m.K)
 	}
 	return m, g, a, nil
 }
 
-// verifyFooter checks the trailing CRC line and returns the covered body.
-func verifyFooter(data []byte) ([]byte, error) {
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("checkpoint: snapshot truncated (no footer)")
+// readGraphSection applies one graph section's elements to g.
+func readGraphSection(g *graph.Graph, dec *stream.FrameDecoder, b *stream.Batch, body []byte) error {
+	b.Payload = body
+	if err := dec.DecodePayload(b); err != nil {
+		return fmt.Errorf("checkpoint: graph section: %w", err)
 	}
-	lineStart := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
-	footer := string(data[lineStart : len(data)-1])
-	if len(footer) != len(footerPrefix)+8 || footer[:len(footerPrefix)] != footerPrefix {
-		return nil, fmt.Errorf("checkpoint: snapshot truncated (bad footer %q)", footer)
+	if b.Deduped > 0 {
+		return fmt.Errorf("checkpoint: graph section: %w", stream.ErrFrameDuplicate)
 	}
-	want, err := strconv.ParseUint(footer[len(footerPrefix):], 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: bad footer checksum: %v", err)
-	}
-	body := data[:lineStart]
-	if got := crc32.ChecksumIEEE(body); got != uint32(want) {
-		return nil, fmt.Errorf("checkpoint: snapshot checksum %08x, footer says %08x", got, want)
-	}
-	return body, nil
-}
-
-// parseMetaLine folds one `m <key> <value>` line into m. Unknown keys are
-// ignored for forward compatibility.
-func parseMetaLine(m *Meta, line string) error {
-	if line == "" {
-		return nil
-	}
-	var key, val string
-	if _, err := fmt.Sscanf(line, "m %s %s", &key, &val); err != nil {
-		return fmt.Errorf("checkpoint: bad metadata line %q", line)
-	}
-	var err error
-	switch key {
-	case "epoch":
-		m.Epoch, err = strconv.ParseUint(val, 10, 64)
-	case "k":
-		m.K, err = strconv.Atoi(val)
-	case "expected_vertices":
-		m.ExpectedVertices, err = strconv.Atoi(val)
-	case "window":
-		m.WindowSize, err = strconv.Atoi(val)
-	case "threshold":
-		m.Threshold, err = strconv.ParseFloat(val, 64)
-	case "slack":
-		m.Slack, err = strconv.ParseFloat(val, 64)
-	case "seed":
-		m.Seed, err = strconv.ParseInt(val, 10, 64)
-	case "ingested":
-		m.Ingested, err = strconv.ParseInt(val, 10, 64)
-	case "rejected":
-		m.Rejected, err = strconv.ParseInt(val, 10, 64)
-	case "cut":
-		m.Cut, err = strconv.Atoi(val)
-	case "observed":
-		m.Observed, err = strconv.Atoi(val)
-	case "restreams":
-		m.Restreams, err = strconv.Atoi(val)
-	case "since_restream":
-		m.SinceRestream, err = strconv.Atoi(val)
-	case "ever_restream":
-		m.EverRestream = val == "1"
-	case "verts_at_swap":
-		m.VertsAtSwap, err = strconv.Atoi(val)
-	case "next_seq":
-		m.NextSeq, err = strconv.ParseUint(val, 10, 64)
-	}
-	if err != nil {
-		return fmt.Errorf("checkpoint: bad metadata %s=%q: %v", key, val, err)
+	for _, el := range b.Elems {
+		switch el.Kind {
+		case stream.VertexElement:
+			if g.HasVertex(el.V) {
+				return fmt.Errorf("checkpoint: graph section: duplicate vertex %d", el.V)
+			}
+			g.AddVertex(el.V, el.Label)
+		case stream.EdgeElement:
+			if err := g.AddEdge(el.V, el.U); err != nil {
+				return fmt.Errorf("checkpoint: graph section: %w", err)
+			}
+		default:
+			return fmt.Errorf("checkpoint: graph section: element kind %d", el.Kind)
+		}
 	}
 	return nil
+}
+
+// readAssignmentSection applies one assignment section to a, creating it
+// at the first section.
+func readAssignmentSection(a *partition.Assignment, body []byte) (*partition.Assignment, error) {
+	bad := errors.New("checkpoint: malformed snapshot assignment section")
+	k, n := binary.Uvarint(body)
+	if n <= 0 || k == 0 || k > maxSnapshotK {
+		return nil, bad
+	}
+	if a == nil {
+		var err error
+		if a, err = partition.NewAssignment(int(k)); err != nil {
+			return nil, err
+		}
+	} else if uint64(a.K()) != k {
+		return nil, bad
+	}
+	for p := body[n:]; len(p) > 0; {
+		v, n := binary.Varint(p)
+		if n <= 0 {
+			return nil, bad
+		}
+		p = p[n:]
+		part, n := binary.Uvarint(p)
+		if n <= 0 || part >= k {
+			return nil, bad
+		}
+		p = p[n:]
+		if err := a.Set(graph.VertexID(v), partition.ID(part)); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
 }

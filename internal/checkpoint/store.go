@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,10 +118,18 @@ type Store struct {
 
 // Open scans dir (created if missing), loads the newest intact snapshot,
 // collects the WAL tail behind it, and prepares the last segment for
-// appending (truncating a torn final record). The returned Recovered is
-// never nil.
+// appending (truncating a torn final record). A directory holding a
+// segment or snapshot in the previous on-disk format is refused before
+// anything in it is touched. The returned Recovered is never nil.
 func Open(dir string, policy SyncPolicy) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	snapSeqs, segSeqs, err := scanDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := refusePreviousFormat(dir, snapSeqs, segSeqs); err != nil {
 		return nil, nil, err
 	}
 	// A crash between snapshot temp-write and rename leaves a .tmp orphan
@@ -129,10 +138,6 @@ func Open(dir string, policy SyncPolicy) (*Store, *Recovered, error) {
 		for _, p := range stale {
 			os.Remove(p)
 		}
-	}
-	snapSeqs, segSeqs, err := scanDir(dir)
-	if err != nil {
-		return nil, nil, err
 	}
 
 	rec := &Recovered{}
@@ -224,23 +229,57 @@ func Open(dir string, policy SyncPolicy) (*Store, *Recovered, error) {
 	return s, rec, nil
 }
 
+// refusePreviousFormat fails when a snapshot or segment in dir starts
+// with the previous format's header: its text bodies would not decode,
+// and the recovery scan would skip or delete the file. There is no
+// converter; the directory stays as it was for the older binary.
+func refusePreviousFormat(dir string, snapSeqs, segSeqs []uint64) error {
+	for _, seq := range snapSeqs {
+		if err := refuseHead(filepath.Join(dir, snapName(seq)), snapMagicV1, snapMagic); err != nil {
+			return err
+		}
+	}
+	for _, seq := range segSeqs {
+		if err := refuseHead(filepath.Join(dir, segName(seq)), walMagicV1, walMagic); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refuseHead fails when the file at path starts with old. An unreadable
+// file passes: the recovery scan decides what to do with it.
+func refuseHead(path, old, cur string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	head := make([]byte, len(old))
+	if _, err := io.ReadFull(f, head); err != nil || string(head) != old {
+		return nil
+	}
+	return fmt.Errorf("checkpoint: %s is in the previous on-disk format %q; this version reads only %q and converts nothing",
+		path, strings.TrimSpace(old), strings.TrimSpace(cur))
+}
+
 // NextSeq is the sequence number the next appended record will get.
 func (s *Store) NextSeq() uint64 { return s.wal.next }
 
 // Append writes one record to the WAL (fsync per policy) and returns its
-// size on disk.
+// size on disk. A batch record's elements are stored as one binary frame
+// payload.
 func (s *Store) Append(kind RecordKind, elems []stream.Element) (int, error) {
-	return s.wal.append(kind, elems)
+	return s.wal.append(kind, elems, nil)
 }
 
-// AppendBinary writes one binary-batch record whose body is the given
-// pre-encoded binary frame payload, verbatim — no re-encoding between
-// the decode stage and the log. The caller (the serve decode stage)
-// guarantees the payload decodes cleanly with zero intra-frame
-// duplicates and that every element it carries was accepted; replay
-// rejects anything else as corruption.
+// AppendBinary writes one batch record whose body is the given
+// pre-encoded frame payload — the record Append writes for the elements
+// the payload carries. The caller guarantees the payload decodes cleanly
+// with zero intra-frame duplicates; replay rejects anything else as
+// corruption.
 func (s *Store) AppendBinary(payload []byte) (int, error) {
-	return s.wal.appendBody(RecordBatchBinary, payload)
+	return s.wal.append(RecordBatch, nil, payload)
 }
 
 // WriteSnapshot persists one snapshot (temp file + rename), rotates the
@@ -304,6 +343,7 @@ func (s *Store) WriteSnapshot(m Meta, g *graph.Graph, a *partition.Assignment) e
 			return err
 		}
 		old := s.wal
+		w.enc, w.buf = old.enc, old.buf
 		s.wal = w
 		s.syncDir()
 		// Best-effort: everything in the old segment is covered by the

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,13 +22,9 @@ import (
 //
 //	u64 LE sequence number | u8 record kind | body
 //
-// where the body of a text batch record is the graph-stream text codec
-// ("v <id> <label>" / "e <u> <v>" lines, removals as "rv <id>" /
-// "re <u> <v>") — the same shape loom-serve
-// ingests over HTTP, so replay reuses stream.FromReader unchanged — and
-// the body of a binary batch record is a binary ingest frame payload
-// verbatim (see internal/stream's binary codec), so an accepted binary
-// batch is logged without re-encoding. A segment file starts with an
+// where the body of a batch record is a binary frame payload
+// (internal/stream's codec) of the elements the writer accepted, and
+// drain and barrier records have no body. A segment file starts with an
 // 8-byte magic plus the u64 LE sequence number of its first record.
 //
 // Recovery tolerates a torn tail: a frame whose length, checksum, body or
@@ -38,7 +33,10 @@ import (
 // intact frame before appending again.
 
 const (
-	walMagic = "loomwal1"
+	walMagic = "loomwal2"
+	// walMagicV1 marks the previous format, whose batch bodies were
+	// graph-stream text; Open refuses it.
+	walMagicV1 = "loomwal1"
 	// walHeaderSize is magic + start sequence number.
 	walHeaderSize = len(walMagic) + 8
 	// frameHeaderSize is length + CRC (the shared wire framing).
@@ -66,12 +64,6 @@ const (
 	// alone would leave the engine (and its tie-break RNG) in a
 	// different state than the live server had.
 	RecordBarrier RecordKind = 3
-	// RecordBatchBinary carries the accepted elements of one binary
-	// ingest batch: the body is a binary frame payload (internal/stream)
-	// appended verbatim, so the hot ingest path never re-encodes. Only
-	// dedup-clean payloads whose every element was accepted are logged
-	// this way; partial batches fall back to RecordBatch.
-	RecordBatchBinary RecordKind = 4
 )
 
 // Record is one decoded WAL entry.
@@ -81,84 +73,48 @@ type Record struct {
 	Elems []stream.Element // batch records only
 }
 
-// CodecSafeLabel reports whether l survives the line-oriented text codecs
-// (graph files, WAL bodies, snapshots): non-empty and free of anything
-// the decoders treat as whitespace. The bar is unicode.IsSpace because
-// that is exactly what strings.Fields splits on and strings.TrimSpace
-// trims — an ASCII-only check would let labels like "a\vb" (splits into
-// extra fields) or "b\v" (silently decodes as "b") through, acknowledging
-// batches the codecs cannot replay faithfully. The serve layer rejects
-// unsafe labels at ingest with this same predicate, so the accepted
+// CodecSafeLabel reports whether l survives every loom codec: non-empty
+// and free of anything the text decoders treat as whitespace (see
+// wire.SafeLabel). The frame encoder refuses other labels, and the serve
+// layer rejects them at ingest with this same predicate, so the accepted
 // stream is always encodable.
 func CodecSafeLabel(l graph.Label) bool {
 	return wire.SafeLabel(string(l))
 }
 
-// encodeElements renders elems in the graph-stream text codec. Labels
-// must be codec-safe; the serve layer enforces this at ingest validation,
-// so an error here indicates a caller bug.
-func encodeElements(buf *bytes.Buffer, elems []stream.Element) error {
-	for i := range elems {
-		el := &elems[i]
-		switch el.Kind {
-		case stream.VertexElement:
-			if !CodecSafeLabel(el.Label) {
-				return fmt.Errorf("checkpoint: vertex %d label %q is not codec-safe", el.V, el.Label)
-			}
-			fmt.Fprintf(buf, "v %d %s\n", el.V, el.Label)
-		case stream.EdgeElement:
-			fmt.Fprintf(buf, "e %d %d\n", el.V, el.U)
-		case stream.RemoveVertexElement:
-			fmt.Fprintf(buf, "rv %d\n", el.V)
-		case stream.RemoveEdgeElement:
-			fmt.Fprintf(buf, "re %d %d\n", el.V, el.U)
-		default:
-			return fmt.Errorf("checkpoint: unknown element kind %d", el.Kind)
-		}
-	}
-	return nil
+// frameHeaderPad reserves a frame header in a buffer; finishFrame stamps
+// it once the payload behind it is complete.
+var frameHeaderPad [frameHeaderSize]byte
+
+// finishFrame stamps the length and CRC of frame[frameHeaderSize:] into
+// the header frameHeaderPad reserved.
+//
+//loom:hotpath
+func finishFrame(frame []byte) {
+	wire.PutHeader(frame[:frameHeaderSize], frame[frameHeaderSize:])
 }
 
-// decodeElements parses a batch body back into elements.
-func decodeElements(body []byte) ([]stream.Element, error) {
-	src := stream.FromReader(bytes.NewReader(body))
-	var out []stream.Element
-	for {
-		el, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, el)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// encodeRecord frames one record whose body is built from elems.
-func encodeRecord(seq uint64, kind RecordKind, elems []stream.Element) ([]byte, error) {
-	var body bytes.Buffer
-	if kind == RecordBatch {
-		if err := encodeElements(&body, elems); err != nil {
+// encodeRecord frames one record into the writer's reusable buffer. A
+// batch record's body is payload when it is not empty, else elems
+// encoded with the writer's frame encoder.
+//
+//loom:hotpath
+func (w *walWriter) encodeRecord(kind RecordKind, elems []stream.Element, payload []byte) ([]byte, error) {
+	buf := w.buf[:0]
+	buf = append(buf, frameHeaderPad[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, w.next)
+	buf = append(buf, byte(kind))
+	if len(payload) > 0 {
+		buf = append(buf, payload...)
+	} else if kind == RecordBatch {
+		var err error
+		if buf, err = w.enc.AppendPayload(buf, elems); err != nil {
 			return nil, err
 		}
 	}
-	return encodeRecordBody(seq, kind, body.Bytes()), nil
-}
-
-// encodeRecordBody frames one record around a pre-encoded body using the
-// shared wire framing. This is the path binary ingest batches take: the
-// body is the frame payload the decode stage already validated, appended
-// without re-encoding.
-func encodeRecordBody(seq uint64, kind RecordKind, body []byte) []byte {
-	frame := make([]byte, frameHeaderSize+payloadHeaderSize+len(body))
-	payload := frame[frameHeaderSize:]
-	binary.LittleEndian.PutUint64(payload[0:8], seq)
-	payload[8] = byte(kind)
-	copy(payload[payloadHeaderSize:], body)
-	wire.PutHeader(frame[:frameHeaderSize], payload)
-	return frame
+	finishFrame(buf)
+	w.buf = buf
+	return buf, nil
 }
 
 // decodePayload parses one CRC-validated payload.
@@ -173,12 +129,6 @@ func decodePayload(payload []byte) (Record, error) {
 	body := payload[payloadHeaderSize:]
 	switch rec.Kind {
 	case RecordBatch:
-		elems, err := decodeElements(body)
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Elems = elems
-	case RecordBatchBinary:
 		elems, err := stream.DecodeFramePayload(body)
 		if err != nil {
 			return Record{}, err
@@ -192,6 +142,34 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("checkpoint: unknown record kind %d", rec.Kind)
 	}
 	return rec, nil
+}
+
+// scanFrames walks the wire frames of data from offset pos, handing each
+// CRC-valid payload to fn. Framing-level damage — a short or
+// checksum-failing trailing frame, or one shorter than minPayload (a
+// zero-filled tail checksums as an empty frame) — is what a torn write
+// leaves: it ends the scan with torn set, never an error and never a
+// panic. An error from fn ends the scan with that error. end is the
+// offset just past the last frame fn accepted.
+func scanFrames(data []byte, pos, minPayload int, fn func(off int, payload []byte) error) (end int, torn bool, err error) {
+	for pos < len(data) {
+		if len(data)-pos < frameHeaderSize {
+			return pos, true, nil
+		}
+		n, sum := wire.ParseHeader(data[pos : pos+frameHeaderSize])
+		if n < minPayload || n > maxPayload || len(data)-pos-frameHeaderSize < n {
+			return pos, true, nil
+		}
+		payload := data[pos+frameHeaderSize : pos+frameHeaderSize+n]
+		if !wire.Verify(payload, sum) {
+			return pos, true, nil
+		}
+		if err := fn(pos, payload); err != nil {
+			return pos, false, err
+		}
+		pos += frameHeaderSize + n
+	}
+	return pos, false, nil
 }
 
 // segmentScan is the result of reading one WAL segment.
@@ -209,54 +187,32 @@ var errBadSegmentHeader = fmt.Errorf("checkpoint: bad WAL segment header")
 var errWriterBroken = errors.New("checkpoint: WAL writer broken by an earlier failed write")
 
 // scanSegment decodes a whole segment from data. A missing or corrupt
-// header yields errBadSegmentHeader. Framing-level damage — short or
-// checksum-failing trailing bytes, the only shapes a torn write can
-// leave — ends the scan as a torn tail, never an error and never a
-// panic. A frame whose checksum passes but whose payload does not decode
-// (or carries the wrong sequence number) cannot come from a torn write:
-// that is corruption or an encoder/decoder mismatch, and it is returned
-// as an error so recovery refuses to start instead of silently
+// header yields errBadSegmentHeader; a torn tail ends the scan (see
+// scanFrames). A frame whose checksum passes but whose payload does not
+// decode (or carries the wrong sequence number) cannot come from a torn
+// write: that is corruption or an encoder/decoder mismatch, and it is
+// returned as an error so recovery refuses to start instead of silently
 // truncating every acknowledged record behind it.
 func scanSegment(data []byte) (segmentScan, error) {
 	if len(data) < walHeaderSize || string(data[:len(walMagic)]) != walMagic {
 		return segmentScan{}, errBadSegmentHeader
 	}
-	s := segmentScan{
-		start: binary.LittleEndian.Uint64(data[len(walMagic):walHeaderSize]),
-		valid: int64(walHeaderSize),
-	}
+	s := segmentScan{start: binary.LittleEndian.Uint64(data[len(walMagic):walHeaderSize])}
 	next := s.start
-	pos := walHeaderSize
-	for {
-		if pos == len(data) {
-			return s, nil // clean end
-		}
-		if len(data)-pos < frameHeaderSize {
-			s.torn = true
-			return s, nil
-		}
-		n, sum := wire.ParseHeader(data[pos : pos+frameHeaderSize])
-		if n < payloadHeaderSize || n > maxPayload || len(data)-pos-frameHeaderSize < n {
-			s.torn = true
-			return s, nil
-		}
-		payload := data[pos+frameHeaderSize : pos+frameHeaderSize+n]
-		if !wire.Verify(payload, sum) {
-			s.torn = true
-			return s, nil
-		}
+	end, torn, err := scanFrames(data, walHeaderSize, payloadHeaderSize, func(off int, payload []byte) error {
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return s, fmt.Errorf("checkpoint: offset %d: CRC-valid record does not decode: %w", pos, err)
+			return fmt.Errorf("checkpoint: offset %d: CRC-valid record does not decode: %w", off, err)
 		}
 		if rec.Seq != next {
-			return s, fmt.Errorf("checkpoint: offset %d: record seq %d, want %d", pos, rec.Seq, next)
+			return fmt.Errorf("checkpoint: offset %d: record seq %d, want %d", off, rec.Seq, next)
 		}
 		s.recs = append(s.recs, rec)
 		next++
-		pos += frameHeaderSize + n
-		s.valid = int64(pos)
-	}
+		return nil
+	})
+	s.valid, s.torn = int64(end), torn
+	return s, err
 }
 
 // readSegmentFile scans the segment at path. The fault.WALReadCorrupt
@@ -288,6 +244,10 @@ type walWriter struct {
 	// unreachable to the recovery scan.
 	off    int64
 	broken bool
+	// enc and buf encode records without allocating; they move to the
+	// next segment's writer at rotation.
+	enc stream.FrameEncoder
+	buf []byte
 }
 
 // createSegment writes a fresh segment with the given start sequence. The
@@ -335,14 +295,15 @@ func openSegmentForAppend(path string, sc segmentScan, syncOn bool) (*walWriter,
 	return &walWriter{f: f, path: path, start: sc.start, next: next, sync: syncOn, off: sc.valid}, nil
 }
 
-// append frames and writes one record, returning its size on disk. A
-// failed write is rolled back to the previous frame boundary; a failed
-// rollback breaks the writer for good (fail-fast beats acknowledging
-// records the recovery scan can never reach behind a torn frame).
+// append frames and writes one record (see encodeRecord), returning its
+// size on disk. A failed write is rolled back to the previous frame
+// boundary; a failed rollback breaks the writer for good (fail-fast beats
+// acknowledging records the recovery scan can never reach behind a torn
+// frame).
 //
 //loom:framedwriter this is the CRC-framing helper itself; every byte it writes is a framed record
 //loom:hotpath
-func (w *walWriter) append(kind RecordKind, elems []stream.Element) (int, error) {
+func (w *walWriter) append(kind RecordKind, elems []stream.Element, payload []byte) (int, error) {
 	if w.broken {
 		return 0, errWriterBroken
 	}
@@ -353,36 +314,10 @@ func (w *walWriter) append(kind RecordKind, elems []stream.Element) (int, error)
 	if err := fault.Check(fault.WALAppend); err != nil {
 		return 0, err
 	}
-	frame, err := encodeRecord(w.next, kind, elems)
+	frame, err := w.encodeRecord(kind, elems, payload)
 	if err != nil {
 		return 0, err
 	}
-	return w.writeFrame(frame)
-}
-
-// appendBody frames and writes one record around a pre-encoded body —
-// the zero-re-encode path binary ingest batches take. Same fault sites
-// and rollback guarantees as append.
-//
-//loom:framedwriter shares the frame write/rollback tail with append; every byte is a framed record
-//loom:hotpath
-func (w *walWriter) appendBody(kind RecordKind, body []byte) (int, error) {
-	if w.broken {
-		return 0, errWriterBroken
-	}
-	if err := fault.Check(fault.WALAppend); err != nil {
-		return 0, err
-	}
-	return w.writeFrame(encodeRecordBody(w.next, kind, body))
-}
-
-// writeFrame writes one already-framed record, honouring the frame-write
-// and sync failpoints and rolling back to the previous frame boundary on
-// failure.
-//
-//loom:framedwriter the single sink both append paths funnel framed bytes through
-//loom:hotpath
-func (w *walWriter) writeFrame(frame []byte) (int, error) {
 	if inj := fault.Hit(fault.WALFrameWrite); inj != nil {
 		if sw := inj.ShortWrite; sw > 0 && sw < len(frame) {
 			// A genuinely torn frame prefix, exactly what a crash or

@@ -204,9 +204,9 @@ func BenchTrajectory(seed int64, quick bool) ([]BenchRecord, error) {
 		return nil, err
 	}
 
-	// Ingest front doors: the text codec decoded inline (what POST /ingest
-	// with the line codec costs) against the binary wire protocol through
-	// the parallel decode front-stage, both at equal durability.
+	// Ingest front doors: the text codec against the binary wire
+	// protocol, both decoded on the feeding goroutine and logged to the
+	// same WAL format at equal durability.
 	if err := benchIngest(&out, graphs[fmt.Sprintf("community-%d", n)], alphabet, seed, k,
 		fmt.Sprintf("community-%d", n)); err != nil {
 		return nil, err
@@ -429,12 +429,13 @@ const ingestBenchBatch = 512
 
 // benchIngest measures end-to-end ingest throughput of the two wire
 // front doors at equal durability (WAL append per accepted batch, fsync
-// none): the line-oriented text codec decoded inline on the feeding
-// goroutine, and the binary frame protocol through the parallel decode
-// front-stage with its raw WAL fast path. The writer runs plain windowed
-// LDG (no workload trie), so the measurement is dominated by what the
-// wire protocol controls — decode, validation, interning and the WAL
-// append — not by motif scoring that is identical on both paths.
+// none): the line-oriented text codec and the binary frame protocol,
+// each decoded on the feeding goroutine. Both log every batch as the
+// same frame-payload WAL record, so the two differ only in decode. The
+// writer runs plain windowed LDG (no workload trie), so the measurement
+// is dominated by what the wire protocol controls — decode, validation,
+// interning and the WAL append — not by motif scoring that is identical
+// on both paths.
 // Throughput is the best of five runs (fresh server and data dir each),
 // which shakes out GC and scheduler noise on small quick-mode instances
 // well enough for the CI regression gate's 20% tolerance.

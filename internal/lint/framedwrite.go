@@ -19,10 +19,10 @@ import (
 // unless the enclosing function is annotated //loom:framedwriter
 // <reason>, which marks it as one of the framing helpers themselves.
 //
-// The same discipline covers loom/internal/stream: its wire-frame
-// helpers produce the exact bytes the WAL appends verbatim
-// (checkpoint.RecordBatchBinary), so a raw file write there would
-// corrupt recovery just as surely as one in checkpoint itself.
+// The same discipline covers loom/internal/stream: its frame payloads
+// are the element bodies of WAL batch records and snapshot graph
+// sections, so a raw file write there would corrupt recovery just as
+// surely as one in checkpoint itself.
 var FramedWrite = &Analyzer{
 	Name: "framedwrite",
 	Doc: "in internal/checkpoint and internal/stream, bans raw writes to " +

@@ -17,8 +17,8 @@ import (
 //	p <vertex> <partition>
 //
 // Vertices are emitted ascending, so output is deterministic and diffable.
-// It is the on-disk interchange of `loom partition -out`, `loom evaluate
-// -assign` and the serving checkpoint (internal/checkpoint).
+// It is the on-disk interchange of `loom partition -out` and `loom
+// evaluate -assign`.
 
 // WriteAssignment serialises a to w in the assignment text format.
 func WriteAssignment(w io.Writer, a *Assignment) error {

@@ -121,7 +121,6 @@ const DefaultMaxMatchesPerVertex = 8
 // Stats counts tracker activity for experiments.
 type Stats struct {
 	MatchesCreated   int
-	MatchesExtended  int
 	MatchesDropped   int
 	Reexpansions     int
 	VerifyRejections int

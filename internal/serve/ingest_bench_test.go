@@ -85,8 +85,8 @@ func BenchmarkIngestText(b *testing.B) {
 }
 
 // BenchmarkIngestFrames is the binary front door: pre-encoded 512-element
-// frames through the parallel decode stage and the raw WAL fast path, on
-// the same server shape as BenchmarkIngestText.
+// frames decoded inline and logged like any batch, on the same server
+// shape as BenchmarkIngestText.
 func BenchmarkIngestFrames(b *testing.B) {
 	elems := benchElems(b)
 	frames := encodeFrames(b, elems, 512)

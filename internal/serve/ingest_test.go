@@ -3,9 +3,14 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"loom/internal/checkpoint"
 	"loom/internal/fault"
 	"loom/internal/graph"
 	"loom/internal/stream"
@@ -56,21 +61,23 @@ func feedFrames(t testing.TB, elems []stream.Element, bs int, servers ...*Server
 // TestBinaryIngestMatchesText feeds the same element stream to a server
 // over the text path (IngestSync) and to another over the pipelined
 // binary path (one multi-frame IngestFrames stream), and requires
-// identical placements and statistics. Epoch is normalized: the binary
-// pipeline may coalesce several frames into one writer cycle, which
-// changes how often snapshots are published but nothing about their
-// final content.
+// identical placements and statistics, and byte-identical WAL segments:
+// both paths log each batch's accepted elements as one frame payload.
+// Epoch is normalized: the binary pipeline may coalesce several frames
+// into one writer cycle, which changes how often snapshots are
+// published but nothing about their final content.
 func TestBinaryIngestMatchesText(t *testing.T) {
 	g, w, alphabet := testGraph(t, 600, 4, 7)
 	elems := elementsOf(t, g)
 	cfg := persistConfig(w, alphabet, g.NumVertices(), 4)
 
-	text, err := New(cfg)
+	textDir, binDir := t.TempDir(), t.TempDir()
+	text, err := Open(cfg, PersistOptions{Dir: textDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer text.Stop()
-	bin, err := New(cfg)
+	bin, err := Open(cfg, PersistOptions{Dir: binDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +110,122 @@ func TestBinaryIngestMatchesText(t *testing.T) {
 			t.Fatalf("Where(%d) = %v,%v (text) vs %v,%v (binary)", v, pt, okt, pb, okb)
 		}
 	}
+
+	// Abort leaves each WAL exactly as the writer logged it.
+	text.Abort()
+	bin.Abort()
+	walText, walBin := walSegments(t, textDir), walSegments(t, binDir)
+	if len(walText) == 0 || !reflect.DeepEqual(walText, walBin) {
+		t.Fatalf("WAL segments differ: text %d files, binary %d files", len(walText), len(walBin))
+	}
+}
+
+// walSegments maps each WAL segment file name in dir to its contents.
+func walSegments(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = string(data)
+	}
+	return out
+}
+
+// edgeReAddElems removes a vertex after its edge was added, then re-adds
+// both: the removal drops the edge, so the second edge add is no
+// duplicate and must be accepted.
+func edgeReAddElems() []stream.Element {
+	return []stream.Element{
+		{Kind: stream.VertexElement, V: 1, Label: "a"},
+		{Kind: stream.VertexElement, V: 2, Label: "a"},
+		{Kind: stream.EdgeElement, V: 1, U: 2},
+		{Kind: stream.RemoveVertexElement, V: 1},
+		{Kind: stream.VertexElement, V: 1, Label: "a"},
+		{Kind: stream.EdgeElement, V: 1, U: 2},
+	}
+}
+
+// TestBinaryIngestEdgeReAddMatchesText: a frame that re-adds an edge its
+// vertex removal dropped ends in the same state as the same batch sent as
+// text — 6 elements ingested, 1 edge, nothing deduplicated.
+func TestBinaryIngestEdgeReAddMatchesText(t *testing.T) {
+	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
+	text, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer text.Stop()
+	bin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bin.Stop()
+
+	elems := edgeReAddElems()
+	if err := text.IngestSync(elems); err != nil {
+		t.Fatal(err)
+	}
+	res, err := bin.IngestFrames(bytes.NewReader(encodeFrames(t, elems, len(elems))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerr := res.Err(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if res.Deduped != 0 || res.Elements != len(elems) {
+		t.Fatalf("res = %+v, want %d elements, 0 deduped", res, len(elems))
+	}
+	if st := text.Stats(); st.Ingested != 6 || st.Edges != 1 {
+		t.Fatalf("text path: ingested %d, edges %d; want 6 and 1", st.Ingested, st.Edges)
+	}
+	g := graph.New()
+	g.AddVertex(1, "a")
+	g.AddVertex(2, "a")
+	assertSameServing(t, g, bin, text)
+}
+
+// TestEdgeReAddCrashRecoveryMatchesControl logs the edge re-add batch,
+// hard-stops, and recovers: replay must accept the logged batch (it is
+// dedup-clean) and match a control server that never stopped.
+func TestEdgeReAddCrashRecoveryMatchesControl(t *testing.T) {
+	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
+	dir := t.TempDir()
+	control, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Stop()
+	durable, err := Open(cfg, PersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBatches(t, edgeReAddElems(), 6, control, durable)
+	durable.Abort()
+
+	restarted, err := Open(cfg, PersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer restarted.Stop()
+	if got := restarted.Stats().Persist.Recover.ReplayedElements; got != 6 {
+		t.Fatalf("replayed %d elements, want 6", got)
+	}
+	g := graph.New()
+	g.AddVertex(1, "a")
+	g.AddVertex(2, "a")
+	assertSameServing(t, g, restarted, control)
 }
 
 // TestBinaryCrashRecoveryMatchesControl is the binary-ingest twin of
-// TestCrashRecoveryMatchesControl: the WAL tail now holds
-// RecordBatchBinary records (raw frame payloads), and replaying them
-// must reproduce the control server bit-identically.
+// TestCrashRecoveryMatchesControl: replaying the batch records binary
+// ingest logged must reproduce the control server bit-identically.
 func TestBinaryCrashRecoveryMatchesControl(t *testing.T) {
 	g, w, alphabet := testGraph(t, 600, 4, 7)
 	elems := elementsOf(t, g)
@@ -134,8 +251,6 @@ func TestBinaryCrashRecoveryMatchesControl(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The raw-payload fast path must actually be in use: every record so
-	// far is a fully-accepted, dedup-free binary batch.
 	durable.Abort()
 
 	restarted, err := Open(cfg, PersistOptions{Dir: dir})
@@ -152,6 +267,50 @@ func TestBinaryCrashRecoveryMatchesControl(t *testing.T) {
 	// Recovery continues to serve binary ingest.
 	feedFrames(t, elems[half:], 97, control, restarted)
 	assertSameServing(t, g, restarted, control)
+}
+
+// TestConcurrentIngestFrames runs several multi-frame IngestFrames
+// streams at once: each caller decodes with its own pooled state, and
+// every element of every stream is applied exactly once.
+func TestConcurrentIngestFrames(t *testing.T) {
+	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 4096, 4)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	const callers, perCaller = 4, 300
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		var elems []stream.Element
+		for i := 0; i < perCaller; i++ {
+			v := graph.VertexID(c*perCaller + i)
+			elems = append(elems, stream.Element{Kind: stream.VertexElement, V: v, Label: "a"})
+			if i > 0 {
+				elems = append(elems, stream.Element{Kind: stream.EdgeElement, V: v, U: v - 1})
+			}
+		}
+		frames := encodeFrames(t, elems, 7)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.IngestFrames(bytes.NewReader(frames))
+			if err == nil {
+				err = res.Err()
+			}
+			if err != nil || res.Elements != len(elems) {
+				t.Errorf("caller ingested %d of %d elements: %v", res.Elements, len(elems), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if want := int64(callers * (2*perCaller - 1)); st.Ingested != want || st.Rejected != 0 {
+		t.Fatalf("ingested %d rejected %d, want %d and 0", st.Ingested, st.Rejected, want)
+	}
 }
 
 // TestPoisonedFrameNeverReachesWriter corrupts the middle frame of a
@@ -209,9 +368,9 @@ func TestPoisonedFrameNeverReachesWriter(t *testing.T) {
 	}
 }
 
-// TestDecodeFailpoints drills the two decode-stage fault points: an
+// TestDecodeFailpoints drills the two binary-decode fault points: an
 // erroring WireDecode injection poisons the frame (typed refusal, WAL
-// and writer untouched), and a stalled worker (ServeDecodeStall with
+// and writer untouched), and a stalled decode (ServeDecodeStall with
 // latency only) delays but does not corrupt the pipeline.
 func TestDecodeFailpoints(t *testing.T) {
 	g, w, alphabet := testGraph(t, 120, 2, 3)
@@ -265,12 +424,12 @@ func TestDecodeFailpoints(t *testing.T) {
 	}
 }
 
-// TestBinaryIngestDedupFallsBackToTextWAL sends a frame containing
+// TestBinaryIngestDedupLogsAcceptedElements sends a frame containing
 // intra-frame duplicates: decode drops them (Deduped > 0), the writer
-// accepts the rest, and because the raw payload no longer describes
-// exactly the accepted elements the WAL record must take the text
-// fallback — proven by crash-recovering from it.
-func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
+// accepts the rest, and the WAL holds one batch record of exactly the
+// accepted elements — proven by reading it back and by crash-recovering
+// from it.
+func TestBinaryIngestDedupLogsAcceptedElements(t *testing.T) {
 	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
 	dir := t.TempDir()
 	s, err := Open(cfg, PersistOptions{Dir: dir})
@@ -300,9 +459,25 @@ func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
 	}
 	s.Abort()
 
+	st, rec, err := checkpoint.Open(dir, checkpoint.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	accepted := []stream.Element{elems[0], elems[1], elems[3]}
+	if len(rec.Tail) != 1 || rec.Tail[0].Kind != checkpoint.RecordBatch || len(rec.Tail[0].Elems) != len(accepted) {
+		t.Fatalf("WAL tail = %+v, want one batch record of %d elements", rec.Tail, len(accepted))
+	}
+	for i, el := range rec.Tail[0].Elems {
+		want := accepted[i]
+		if el.Kind != want.Kind || el.V != want.V || el.U != want.U || el.Label != want.Label {
+			t.Fatalf("logged element %d = %+v, want %+v", i, el, want)
+		}
+	}
+
 	restarted, err := Open(cfg, PersistOptions{Dir: dir})
 	if err != nil {
-		t.Fatalf("recover from fallback record: %v", err)
+		t.Fatalf("recover from the deduplicated batch: %v", err)
 	}
 	defer restarted.Stop()
 	ri := restarted.Stats().Persist.Recover
@@ -313,8 +488,8 @@ func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
 
 // TestBinaryIngestCrossFrameRejects sends the same vertex in two frames:
 // the writer rejects the duplicate (cross-frame dedup is its job), the
-// stream keeps going, and the partial batch is logged via the text
-// fallback so recovery replays cleanly.
+// stream keeps going, and only the accepted elements are logged, so
+// recovery replays cleanly.
 func TestBinaryIngestCrossFrameRejects(t *testing.T) {
 	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
 	dir := t.TempDir()

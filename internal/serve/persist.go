@@ -124,11 +124,10 @@ func Open(cfg Config, opts PersistOptions) (*Server, error) {
 	for _, r := range rec.Tail {
 		info.ReplayedRecords++
 		switch r.Kind {
-		case checkpoint.RecordBatch, checkpoint.RecordBatchBinary:
-			// Binary batch records decode to the same pre-validated
-			// elements the writer accepted live (the store decoded the
-			// payload during the segment scan); both kinds replay through
-			// the identical apply path.
+		case checkpoint.RecordBatch:
+			// The store decoded the record's frame payload during the
+			// segment scan into exactly the elements the writer accepted
+			// live; they replay through the same apply path.
 			info.ReplayedElements += len(r.Elems)
 			if err := s.process(envelope{elems: r.Elems}); err != nil {
 				// The log holds only once-accepted elements; a rejection

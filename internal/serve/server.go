@@ -159,10 +159,6 @@ type Config struct {
 	// Reanchor makes a wedged server retry the re-anchoring snapshot
 	// itself instead of waiting for an operator Checkpoint.
 	Reanchor ReanchorPolicy
-	// DecodeWorkers sizes the parallel binary-frame decode stage in
-	// front of the writer loop (IngestFrames). Zero defaults to
-	// GOMAXPROCS; the workers start lazily on first binary ingest.
-	DecodeWorkers int
 	// SnapshotEveryBatches bounds the WAL tail on long runs: after this
 	// many accepted data batches the writer performs the same drain +
 	// barrier + engine-reseed cycle an explicit Checkpoint does and writes
@@ -175,11 +171,11 @@ type Config struct {
 	// DecaySpan ages edges out of restream scoring: when > 0, an edge
 	// whose last add is more than DecaySpan accepted elements in the past
 	// is excluded from the detached clone a background restream scores
-	// over (the same logical-time span semantics stream.TimedWindow
-	// applies to vertex residency — element counts, never the wall
-	// clock). The canonical graph and the served placements are
-	// unaffected; only restream scoring forgets stale structure. Zero
-	// keeps every edge forever.
+	// over. Time is logical — accepted-element counts, never the wall
+	// clock — so replay ages edges exactly as the live server did. The
+	// canonical graph and the served placements are unaffected; only
+	// restream scoring forgets stale structure. Zero keeps every edge
+	// forever.
 	DecaySpan int64
 }
 
@@ -204,15 +200,6 @@ type envelope struct {
 	// trigger labels a ctrlRestream request ("manual", "workload", ...)
 	// for the restream report and the migration-budget exemption.
 	trigger string
-	// raw is the binary frame payload elems were decoded from, when the
-	// batch arrived through the binary decode stage: if the writer
-	// accepts every element it is appended to the WAL verbatim instead
-	// of re-encoding. rawExact means decode dropped nothing (no
-	// intra-frame duplicates), i.e. raw describes exactly elems. The
-	// buffers stay owned by the sender's frame job; the writer may read
-	// them only until it releases the reply.
-	raw      []byte
-	rawExact bool
 }
 
 // restreamOutcome carries a finished background restream back to the
@@ -285,18 +272,6 @@ type Server struct {
 	// consumer (writer goroutine, at restream launch) are different
 	// goroutines.
 	workloadSrc atomic.Pointer[workloadSource]
-
-	// decode is the parallel binary-frame decode stage (ingest.go):
-	// workers start lazily on the first IngestFrames call and exit with
-	// quit. jobs carries frames to whichever worker is free; the
-	// sequencer re-establishes frame order before the mailbox.
-	decode struct {
-		start    sync.Once
-		jobs     chan *frameJob
-		pool     sync.Pool
-		workers  int
-		inflight int
-	}
 
 	// heal is the self-healing re-anchor state. The atomics are readable
 	// from any goroutine (Stats); everything else is writer-owned.
@@ -474,9 +449,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Admission.Rate < 0 {
 		return nil, fmt.Errorf("serve: admission rate %v < 0", cfg.Admission.Rate)
-	}
-	if cfg.DecodeWorkers < 0 {
-		return nil, fmt.Errorf("serve: decode workers %d < 0", cfg.DecodeWorkers)
 	}
 	if cfg.SnapshotEveryBatches < 0 {
 		return nil, fmt.Errorf("serve: snapshot every %d batches < 0", cfg.SnapshotEveryBatches)
@@ -956,19 +928,10 @@ func (s *Server) process(env envelope) error {
 	}
 	// Durability before acknowledgement: the accepted slice of the batch
 	// is in the WAL (fsynced per policy) before handle releases the reply.
+	// Text and binary batches alike are logged as one frame-payload
+	// record of exactly the accepted elements.
 	if logWAL && len(s.walScratch) > 0 {
-		// Binary batches whose every decoded element was accepted are
-		// logged as their original frame payload, skipping the text
-		// re-encode entirely. The payload must describe exactly the
-		// accepted elements — any decode-stage dedup or writer-side
-		// rejection falls back to encoding the accepted subset, because
-		// replay applies WAL bodies verbatim and fatally rejects
-		// duplicates ("the log holds only once-accepted elements").
-		if env.raw != nil && env.rawExact && len(s.walScratch) == len(env.elems) {
-			if err := s.appendWALBinary(env.raw); err != nil {
-				errs = append(errs, err)
-			}
-		} else if err := s.appendWAL(checkpoint.RecordBatch, s.walScratch); err != nil {
+		if err := s.appendWAL(checkpoint.RecordBatch, s.walScratch); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -980,19 +943,6 @@ func (s *Server) process(env envelope) error {
 // further appends are pointless until a snapshot re-anchors the history.
 func (s *Server) appendWAL(kind checkpoint.RecordKind, elems []stream.Element) error {
 	n, err := s.persist.store.Append(kind, elems)
-	return s.noteAppend(n, err)
-}
-
-// appendWALBinary logs one accepted binary batch as its original frame
-// payload (no re-encode); failure semantics are identical to appendWAL.
-func (s *Server) appendWALBinary(payload []byte) error {
-	n, err := s.persist.store.AppendBinary(payload)
-	return s.noteAppend(n, err)
-}
-
-// noteAppend maintains the persistence counters and the wedge for both
-// append paths.
-func (s *Server) noteAppend(n int, err error) error {
 	if err != nil {
 		// The returned error wraps the underlying I/O failure, NOT
 		// ErrWedged: the batch WAS applied in memory — it is the durability
@@ -1027,9 +977,10 @@ func (s *Server) applyElement(el stream.Element) error {
 		if s.g.HasVertex(el.V) {
 			return fmt.Errorf("serve: duplicate vertex %d", el.V)
 		}
-		// Labels must survive the text codecs (WAL records, snapshots,
-		// Export files); reject the ones that cannot up front, so the
-		// accepted stream is always durable and replayable.
+		// Labels must survive every codec (WAL records and snapshots
+		// refuse what the text Export files could not replay); reject
+		// the ones that cannot up front, so the accepted stream is
+		// always durable and replayable.
 		if !checkpoint.CodecSafeLabel(el.Label) {
 			return fmt.Errorf("serve: vertex %d label %q is not codec-safe", el.V, el.Label)
 		}

@@ -48,7 +48,9 @@ import (
 // operation wins once": an add followed by a removal of the same vertex
 // (or edge), or vice versa, is NOT a duplicate — only the same operation
 // repeated back-to-back within a frame is dropped — so a churny frame can
-// legally carry add → remove → re-add of one identity in order.
+// legally carry add → remove → re-add of one identity in order. Removing
+// a vertex removes its edges too, so it ends the dedup of every earlier
+// edge add in the frame.
 
 // BinaryVersion is the base frame payload format version (insert-only
 // element kinds).
@@ -85,24 +87,15 @@ var (
 	ErrFrameDuplicate = errors.New("stream: frame carries intra-frame duplicates")
 )
 
-// Batch is one binary frame in flight through the decode stage. Payload
-// holds the raw frame payload exactly as received (the shape the WAL can
-// append as a record body without re-encoding); Elems is the decoded,
-// validated, intra-frame-deduplicated element list. Buffers are reused
-// across Reset cycles.
+// Batch is one binary frame in flight through decode. Payload holds the
+// raw frame payload exactly as received; Elems is the decoded,
+// validated, intra-frame-deduplicated element list. FrameReader.Next and
+// the decoder reuse its buffers from frame to frame.
 type Batch struct {
 	Payload []byte
 	CRC     uint32 // from the frame header; checked by FrameDecoder.Decode
 	Elems   []Element
 	Deduped int // intra-frame duplicate vertices/edges dropped by decode
-}
-
-// Reset empties the batch, keeping capacity.
-func (b *Batch) Reset() {
-	b.Payload = b.Payload[:0]
-	b.Elems = b.Elems[:0]
-	b.Deduped = 0
-	b.CRC = 0
 }
 
 // FrameEncoder renders element batches as binary frames. The zero value
@@ -126,8 +119,10 @@ func (e *FrameEncoder) AppendFrame(dst []byte, elems []Element) ([]byte, error) 
 }
 
 // AppendPayload encodes elems as a bare frame payload (no header)
-// appended to dst — the exact bytes a WAL binary-batch record carries as
-// its body.
+// appended to dst — the body of a WAL batch record and of a snapshot
+// graph section.
+//
+//loom:hotpath
 func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error) {
 	if e.index == nil {
 		e.index = make(map[graph.Label]uint64)
@@ -141,7 +136,7 @@ func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error
 		switch el.Kind {
 		case VertexElement:
 			if !wire.SafeLabel(string(el.Label)) {
-				return nil, fmt.Errorf("stream: vertex %d label %q is not codec-safe", el.V, el.Label)
+				return nil, unencodable(el)
 			}
 			if _, ok := e.index[el.Label]; !ok {
 				e.index[el.Label] = uint64(len(e.labels))
@@ -149,7 +144,7 @@ func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error
 			}
 		case EdgeElement, RemoveEdgeElement:
 			if el.V == el.U {
-				return nil, fmt.Errorf("stream: edge (%d,%d) is a self-loop", el.V, el.U)
+				return nil, unencodable(el)
 			}
 			if el.Kind == RemoveEdgeElement {
 				hasRemovals = true
@@ -157,9 +152,13 @@ func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error
 		case RemoveVertexElement:
 			hasRemovals = true
 		default:
-			return nil, fmt.Errorf("stream: unknown element kind %d", el.Kind)
+			return nil, unencodable(el)
 		}
 	}
+	// dst is the caller's buffer, reused across frames, so steady-state
+	// encoding allocates nothing; the reslice marks it as scratch for
+	// hotalloc.
+	dst = dst[:]
 	if hasRemovals {
 		dst = append(dst, BinaryVersionRemovals)
 	} else {
@@ -194,22 +193,40 @@ func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error
 	return dst, nil
 }
 
+// unencodable explains why AppendPayload refused el, off the hot path.
+func unencodable(el *Element) error {
+	switch el.Kind {
+	case VertexElement:
+		return fmt.Errorf("stream: vertex %d label %q is not codec-safe", el.V, el.Label)
+	case EdgeElement, RemoveEdgeElement:
+		return fmt.Errorf("stream: edge (%d,%d) is a self-loop", el.V, el.U)
+	}
+	return fmt.Errorf("stream: unknown element kind %d", el.Kind)
+}
+
 // FrameDecoder decodes binary frames. One decoder per goroutine; its
-// label intern cache and generation-stamped dedup maps persist across
-// frames so the steady-state decode path allocates nothing.
+// label intern cache and dedup maps persist across frames so the
+// steady-state decode path allocates nothing.
 //
-// The dedup maps store gen<<1|op (op 1 = add, 0 = remove): an element is
-// a duplicate only when it repeats the last operation on that identity
-// within the same frame, so add/remove alternation passes through. gen
-// starts at 1, so the zero value of a missing map entry never aliases a
-// mark.
+// The dedup maps hold the frame's last operation per identity (opAdd or
+// opRemove; a missing entry is unseen) and are cleared for every frame,
+// so they never hold more than one frame's identities. An element is a
+// duplicate only when it repeats the last operation on that identity, so
+// add/remove alternation passes through. A vertex removal also removes
+// the vertex's edges, so it clears the edge marks: re-adding an edge the
+// removal dropped is not a duplicate.
 type FrameDecoder struct {
 	intern map[string]graph.Label
 	dict   []graph.Label
-	seenV  map[graph.VertexID]uint64
-	seenE  map[graph.Edge]uint64
-	gen    uint64
+	seenV  map[graph.VertexID]uint8
+	seenE  map[graph.Edge]uint8
 }
+
+// Dedup marks; the zero value means the identity is unseen this frame.
+const (
+	opRemove uint8 = 1
+	opAdd    uint8 = 2
+)
 
 // Decode verifies b.CRC against b.Payload and parses the payload into
 // b.Elems. On error the batch must be treated as poisoned: nothing in it
@@ -230,11 +247,13 @@ func (d *FrameDecoder) Decode(b *Batch) error {
 //loom:hotpath
 func (d *FrameDecoder) DecodePayload(b *Batch) error {
 	if d.seenV == nil {
-		d.seenV = make(map[graph.VertexID]uint64)
+		d.seenV = make(map[graph.VertexID]uint8)
 	}
 	if d.seenE == nil {
-		d.seenE = make(map[graph.Edge]uint64)
+		d.seenE = make(map[graph.Edge]uint8)
 	}
+	clear(d.seenV)
+	clear(d.seenE)
 	p := b.Payload
 	b.Elems = b.Elems[:0]
 	b.Deduped = 0
@@ -271,8 +290,6 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 	if !ok {
 		return ErrFrameTruncated
 	}
-	d.gen++
-	gen := d.gen
 	for i := uint64(0); i < elemCount; i++ {
 		if o >= len(p) {
 			return ErrFrameTruncated
@@ -295,12 +312,11 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				return ErrFrameDictIndex
 			}
 			v := graph.VertexID(id)
-			mark := gen<<1 | 1
-			if d.seenV[v] == mark {
+			if d.seenV[v] == opAdd {
 				b.Deduped++
 				continue
 			}
-			d.seenV[v] = mark
+			d.seenV[v] = opAdd
 			b.Elems = append(b.Elems, Element{
 				Kind: VertexElement, V: v, Label: d.dict[li], Seq: len(b.Elems),
 			})
@@ -319,12 +335,11 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				return ErrFrameSelfLoop
 			}
 			e := graph.Edge{U: graph.VertexID(u), V: graph.VertexID(v)}.Normalize()
-			mark := gen<<1 | 1
-			if d.seenE[e] == mark {
+			if d.seenE[e] == opAdd {
 				b.Deduped++
 				continue
 			}
-			d.seenE[e] = mark
+			d.seenE[e] = opAdd
 			b.Elems = append(b.Elems, Element{
 				Kind: EdgeElement, V: graph.VertexID(u), U: graph.VertexID(v), Seq: len(b.Elems),
 			})
@@ -338,12 +353,12 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 			}
 			o = next
 			v := graph.VertexID(id)
-			mark := gen << 1
-			if d.seenV[v] == mark {
+			if d.seenV[v] == opRemove {
 				b.Deduped++
 				continue
 			}
-			d.seenV[v] = mark
+			d.seenV[v] = opRemove
+			clear(d.seenE)
 			b.Elems = append(b.Elems, Element{
 				Kind: RemoveVertexElement, V: v, Seq: len(b.Elems),
 			})
@@ -365,12 +380,11 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				return ErrFrameSelfLoop
 			}
 			e := graph.Edge{U: graph.VertexID(u), V: graph.VertexID(v)}.Normalize()
-			mark := gen << 1
-			if d.seenE[e] == mark {
+			if d.seenE[e] == opRemove {
 				b.Deduped++
 				continue
 			}
-			d.seenE[e] = mark
+			d.seenE[e] = opRemove
 			b.Elems = append(b.Elems, Element{
 				Kind: RemoveEdgeElement, V: graph.VertexID(u), U: graph.VertexID(v), Seq: len(b.Elems),
 			})
@@ -426,8 +440,9 @@ func varintAt(p []byte, o int) (int64, int, bool) {
 
 // DecodeFramePayload decodes one frame payload with a throwaway decoder.
 // It refuses payloads containing intra-frame duplicates: the serve layer
-// only logs dedup-clean payloads, so a duplicate in a WAL body is
-// corruption, not data. Used by WAL replay and the differential fuzzers.
+// logs only elements the writer accepted, which are dedup-clean, so a
+// duplicate in a WAL body is corruption, not data. Used by WAL replay
+// and the differential fuzzers.
 func DecodeFramePayload(payload []byte) ([]Element, error) {
 	var d FrameDecoder
 	b := Batch{Payload: payload}
@@ -441,8 +456,8 @@ func DecodeFramePayload(payload []byte) ([]Element, error) {
 }
 
 // FrameReader reads length-prefixed binary frames off r. Next fills a
-// Batch's Payload/CRC without decoding, so decode work can move to
-// another goroutine.
+// Batch's Payload/CRC without decoding; FrameDecoder.Decode checks and
+// parses it.
 type FrameReader struct {
 	br     *bufio.Reader
 	frames int

@@ -81,6 +81,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3})
 	f.Add([]byte{0, 1, 2, 3, 2, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 1, 2, 3, 3, 1, 2, 3, 1, 1, 2, 3})
+	// [v 1, v 2, e 1 2, rv 1, v 1, e 1 2]: the vertex removal drops the
+	// edge, so its re-add is no duplicate.
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 1, 2, 2, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Arbitrary bytes as a frame payload must never panic.
@@ -108,7 +111,9 @@ func FuzzBinaryCodec(f *testing.F) {
 		// last operation per identity wins once, so only a repeat of the
 		// SAME operation (add-add or remove-remove) on a vertex id or
 		// normalized edge is dropped, while add/remove alternation passes
-		// through — the two streams must then be identical, Seq included.
+		// through, and a vertex removal forgets every edge mark (it
+		// removes the vertex's edges) — the two streams must then be
+		// identical, Seq included.
 		src := FromReader(bytes.NewReader(renderText(elems)))
 		const opRemove, opAdd = 1, 2 // 0 = identity unseen this frame
 		seenV := make(map[graph.VertexID]int)
@@ -129,6 +134,9 @@ func FuzzBinaryCodec(f *testing.F) {
 					continue
 				}
 				seenV[el.V] = op
+				if op == opRemove {
+					clear(seenE)
+				}
 			default:
 				op := opAdd
 				if el.Kind == RemoveEdgeElement {

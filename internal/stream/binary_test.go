@@ -113,10 +113,32 @@ func TestBinaryDecodeDedup(t *testing.T) {
 		t.Fatalf("kept %d elements, want 3", len(b.Elems))
 	}
 	// A second frame with the same ids must not be deduped against the
-	// first: the dedup maps are generation-stamped, not cross-frame.
+	// first: the dedup maps are cleared for every frame.
 	b2 := decodeFrame(t, &d, encodeFrame(t, elems[:2]))
 	if b2.Deduped != 0 || len(b2.Elems) != 2 {
 		t.Fatalf("cross-frame dedup leaked: deduped=%d kept=%d", b2.Deduped, len(b2.Elems))
+	}
+}
+
+// TestBinaryDecodeDedupMapsStayFrameSized: the dedup maps hold at most
+// one frame's identities, however many frames of fresh ids pass through.
+func TestBinaryDecodeDedupMapsStayFrameSized(t *testing.T) {
+	const frames, perFrame = 50, 64
+	var d FrameDecoder
+	for f := 0; f < frames; f++ {
+		var elems []Element
+		for i := 0; i < perFrame; i++ {
+			v := graph.VertexID(f*perFrame + i)
+			elems = append(elems, Element{Kind: VertexElement, V: v, Label: "a"})
+			if i > 0 {
+				elems = append(elems, Element{Kind: EdgeElement, V: v, U: v - 1})
+			}
+		}
+		decodeFrame(t, &d, encodeFrame(t, elems))
+	}
+	if len(d.seenV) > perFrame || len(d.seenE) > perFrame-1 {
+		t.Fatalf("after %d frames the dedup maps hold %d vertices and %d edges, want at most one frame's (%d, %d)",
+			frames, len(d.seenV), len(d.seenE), perFrame, perFrame-1)
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package wire holds the byte-level conventions shared by the binary
-// graph-stream codec (internal/stream) and the write-ahead log
-// (internal/checkpoint): a length-prefixed, CRC-guarded frame and the
-// label-safety predicate both codecs enforce.
+// graph-stream codec (internal/stream) and the durable files of
+// internal/checkpoint (WAL segments and snapshots): a length-prefixed,
+// CRC-guarded frame and the label-safety predicate every codec enforces.
 //
 // A frame is
 //
 //	u32 LE payload length | u32 LE CRC32-IEEE(payload) | payload
 //
-// — exactly the WAL's record framing, hoisted here so an ingest frame
-// payload can be appended to the log as a record body without
-// re-encoding, and so the torn-tail recovery rules (a short or
-// checksum-failing frame ends the scan) are stated once.
+// — the framing of an ingest frame, a WAL record and a snapshot section
+// alike, stated once so the torn-tail recovery rules (a short or
+// checksum-failing frame ends the scan) are the same everywhere.
 package wire
 
 import (
@@ -63,12 +62,13 @@ func Verify(payload []byte, crc uint32) bool {
 }
 
 // SafeLabel reports whether a label survives every loom codec (text
-// graph files, WAL bodies, snapshots, binary frames): non-empty and free
-// of anything the text decoders treat as whitespace. The bar is
-// unicode.IsSpace because that is exactly what strings.Fields splits on
-// and strings.TrimSpace trims; the binary codec could carry arbitrary
-// bytes, but accepting labels there that the text codecs cannot replay
-// would fork the durable formats.
+// graph files, and the binary frames that WAL bodies and snapshots
+// carry): non-empty and free of anything the text decoders treat as
+// whitespace. The bar is unicode.IsSpace because that is exactly what
+// strings.Fields splits on and strings.TrimSpace trims; the binary codec
+// could carry arbitrary bytes, but accepting labels there that the text
+// codecs cannot replay would let a durable state reach a server's text
+// Export that cannot be read back.
 func SafeLabel(s string) bool {
 	return s != "" && !strings.ContainsFunc(s, unicode.IsSpace)
 }

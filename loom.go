@@ -578,8 +578,8 @@ func FromReader(r io.Reader) *stream.ReaderSource { return stream.FromReader(r) 
 // Binary wire protocol (internal/stream): length-prefixed CRC-framed
 // element batches with varint ids and a per-frame label dictionary — the
 // fast ingest front door (`POST /ingest` with Content-Type
-// BinaryContentType), decoded off the writer goroutine and appended to
-// the WAL verbatim.
+// BinaryContentType), decoded on the caller's goroutine, off the writer.
+// The same frame payload is the WAL's and the snapshot's element body.
 type (
 	// FrameIngest summarises one Server.IngestFrames call: frames and
 	// elements accepted, intra-frame duplicates dropped, and the typed
